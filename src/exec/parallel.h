@@ -132,11 +132,15 @@ struct ParallelScanPlan {
   int threads = 1;
   uint64_t morsel_size = kDefaultMorselSize;
 
+  // Whether any input could fan out; threads <= 1 keeps the engines'
+  // untouched serial path.
+  bool Parallel() const { return threads > 1 && scheduler != nullptr; }
+
   // Parallelism must pay for its fan-out: engage only when the scan is
   // wider than one morsel (a single-morsel scan is the serial loop with
-  // extra steps). threads <= 1 keeps the engines' untouched serial path.
+  // extra steps).
   bool Engage(uint64_t slot_count) const {
-    return threads > 1 && scheduler != nullptr && slot_count > morsel_size;
+    return Parallel() && slot_count > morsel_size;
   }
 };
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <functional>
 #include <numeric>
-#include <set>
-#include <unordered_map>
 #include <utility>
 
 #include "common/json.h"
@@ -162,22 +162,85 @@ PlanPtr DistinctPlan(PlanPtr input) {
 
 namespace {
 
-struct RowKeyHash {
-  size_t operator()(const Row& key) const {
-    size_t h = 0x345678;
-    for (const Value& v : key) h = h * 1000003ULL ^ v.Hash();
-    return h;
-  }
-};
-struct RowKeyEq {
-  bool operator()(const Row& a, const Row& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (a[i].Compare(b[i]) != 0) return false;
+// Dense ids for distinct keys, assigned in first-seen order. The index holds
+// only (hash, id) slots — open addressing with linear probing — so a caller
+// hashes its key columns in place (HashRowKey) and passes `same(id)`, an
+// in-place comparison against the key `id` stands for: no key row is built
+// per lookup.
+class KeyIndex {
+ public:
+  static constexpr uint32_t kNone = ~uint32_t{0};
+
+  template <typename Same>
+  uint32_t Find(uint64_t hash, const Same& same) const {
+    if (size_ == 0) return kNone;
+    for (uint64_t i = Home(hash);; i = (i + 1) & mask_) {
+      const Slot& s = slots_[i];
+      if (s.id == kNone) return kNone;
+      if (s.hash == hash && same(s.id)) return s.id;
     }
-    return true;
   }
+
+  // The id of the key `same` recognizes, or a new id (the count of keys so far)
+  // when there is none; `.second` is true for a new id.
+  template <typename Same>
+  std::pair<uint32_t, bool> FindOrAdd(uint64_t hash, const Same& same) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    uint64_t i = Home(hash);
+    for (; slots_[i].id != kNone; i = (i + 1) & mask_) {
+      const Slot& s = slots_[i];
+      if (s.hash == hash && same(s.id)) return {s.id, false};
+    }
+    slots_[i] = Slot{hash, static_cast<uint32_t>(size_)};
+    return {static_cast<uint32_t>(size_++), true};
+  }
+
+ private:
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t id = kNone;
+  };
+
+  // Fibonacci hashing: the top bits of hash * 2^64/phi, so keys that differ
+  // only in high bits (or share low bits) still spread over the table.
+  uint64_t Home(uint64_t hash) const {
+    return (hash * 0x9E3779B97F4A7C15ULL) >> shift_;
+  }
+
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    const size_t cap = old.empty() ? 16 : 2 * old.size();
+    slots_.assign(cap, Slot{});
+    mask_ = cap - 1;
+    shift_ = 64 - std::countr_zero(cap);
+    for (const Slot& s : old) {
+      if (s.id == kNone) continue;
+      uint64_t i = Home(s.hash);
+      while (slots_[i].id != kNone) i = (i + 1) & mask_;
+      slots_[i] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  uint64_t mask_ = 0;
+  int shift_ = 64;
+  size_t size_ = 0;
 };
+
+// Whole-row hash and equality (DISTINCT keys on every column).
+size_t HashRow(const Row& row) {
+  size_t h = 0x345678;
+  for (const Value& v : row) h = h * 1000003ULL ^ v.Hash();
+  return h;
+}
+
+bool SameRow(const Row& a, const Row& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].Compare(b[i]) != 0) return false;
+  }
+  return true;
+}
 
 Row KeyOf(const Row& row, const std::vector<int>& cols) {
   Row key;
@@ -196,68 +259,77 @@ int CompareKeyCols(const Row& a, const std::vector<int>& acols, const Row& b,
   return 0;
 }
 
-Rows FilterKernel(const Rows& in, const ExprPtr& pred, QueryContext* ctx) {
-  Rows out;
-  for (const Row& row : in) {
-    if (ctx != nullptr && !ctx->KeepGoing()) return out;
-    if (pred->Test(row)) out.push_back(row);
+bool HasNullKey(const Row& row, const std::vector<int>& cols) {
+  for (int c : cols) {
+    if (row[static_cast<size_t>(c)].is_null()) return true;
   }
-  return out;
+  return false;
 }
 
-Rows ProjectKernel(const Rows& in, const std::vector<ExprPtr>& exprs,
-                   QueryContext* ctx) {
-  Rows out;
-  out.reserve(in.size());
-  for (const Row& row : in) {
-    if (ctx != nullptr && !ctx->KeepGoing()) return out;
-    Row r;
-    r.reserve(exprs.size());
-    for (const ExprPtr& e : exprs) r.push_back(e->Eval(row));
-    out.push_back(std::move(r));
-  }
-  return out;
+// Sets *joined to l ++ r, reusing its capacity.
+void JoinInto(const Row& l, const Row& r, Row* joined) {
+  joined->clear();
+  joined->reserve(l.size() + r.size());
+  joined->insert(joined->end(), l.begin(), l.end());
+  joined->insert(joined->end(), r.begin(), r.end());
 }
 
-Rows HashJoinKernel(const Rows& left, const Rows& right,
-                    const std::vector<int>& left_keys,
-                    const std::vector<int>& right_keys, size_t right_width,
-                    JoinType type, const ExprPtr& residual, QueryContext* ctx) {
-  std::unordered_map<Row, std::vector<const Row*>, RowKeyHash, RowKeyEq> ht;
-  ht.reserve(right.size());
-  for (const Row& r : right) {
-    if (ctx != nullptr && !ctx->KeepGoing()) return {};
-    Row key = KeyOf(r, right_keys);
-    bool null_key = false;
-    for (const Value& v : key) null_key |= v.is_null();
-    if (null_key) continue;  // NULL never matches in equi-joins
-    ht[std::move(key)].push_back(&r);
-  }
-  Rows out;
-  for (const Row& l : left) {
-    if (ctx != nullptr && !ctx->KeepGoing()) return out;
-    Row key = KeyOf(l, left_keys);
-    bool null_key = false;
-    for (const Value& v : key) null_key |= v.is_null();
-    auto it = null_key ? ht.end() : ht.find(key);
-    bool matched = false;
-    if (it != ht.end()) {
-      for (const Row* r : it->second) {
-        Row joined = l;
-        joined.insert(joined.end(), r->begin(), r->end());
-        if (residual != nullptr && !residual->Test(joined)) continue;
-        matched = true;
-        out.push_back(std::move(joined));
+// The build side of a hash join. Each key keeps a chain of its right rows
+// in input order (first_[k], then next_[row] ...), so a probe hashes its
+// key columns in place and walks one chain. NULL keys never enter the
+// table.
+class JoinTable {
+ public:
+  // Returns false when `ctx` trips mid-build.
+  bool Build(const Rows& right, const std::vector<int>& keys,
+             QueryContext* ctx) {
+    right_ = &right;
+    keys_ = &keys;
+    next_.assign(right.size(), KeyIndex::kNone);
+    std::vector<uint32_t> last;  // chain tail of each key
+    for (uint32_t i = 0; i < right.size(); ++i) {
+      if (ctx != nullptr && !ctx->KeepGoing()) return false;
+      const Row& r = right[i];
+      if (HasNullKey(r, keys)) continue;  // NULL never matches in equi-joins
+      auto [k, added] =
+          index_.FindOrAdd(HashRowKey(r, keys), [&](uint32_t id) {
+            return CompareKeyCols(r, keys, right[first_[id]], keys) == 0;
+          });
+      if (added) {
+        first_.push_back(i);
+        last.push_back(i);
+      } else {
+        next_[last[k]] = i;
+        last[k] = i;
       }
     }
-    if (!matched && type == JoinType::kLeftOuter) {
-      Row joined = l;
-      joined.resize(joined.size() + right_width, Value::Null());
-      out.push_back(std::move(joined));
+    return true;
+  }
+
+  // Calls fn(right_row) for every build row whose key equals l's key
+  // columns `lkeys`, in right input order.
+  template <typename Fn>
+  void ForEachMatch(const Row& l, const std::vector<int>& lkeys,
+                    const Fn& fn) const {
+    if (HasNullKey(l, lkeys)) return;
+    const Rows& right = *right_;
+    const uint32_t k =
+        index_.Find(HashRowKey(l, lkeys), [&](uint32_t id) {
+          return CompareKeyCols(l, lkeys, right[first_[id]], *keys_) == 0;
+        });
+    if (k == KeyIndex::kNone) return;
+    for (uint32_t p = first_[k]; p != KeyIndex::kNone; p = next_[p]) {
+      fn(right[p]);
     }
   }
-  return out;
-}
+
+ private:
+  const Rows* right_ = nullptr;
+  const std::vector<int>* keys_ = nullptr;
+  KeyIndex index_;
+  std::vector<uint32_t> first_;  // first right row of each key
+  std::vector<uint32_t> next_;   // next right row with the same key
+};
 
 // Sorts `order` (a permutation of input positions) by (key columns, input
 // position). The tie-break makes the comparator a total order, so every
@@ -364,9 +436,8 @@ void MergeJoinEmitRuns(const Rows& left, const Rows& right,
     for (uint64_t i = p; i < lend; ++i) {
       if (MorselInterrupted(stop, ctx)) return;
       for (auto rit = rlow; rit != rhigh; ++rit) {
-        Row joined = left[lorder[i]];
-        const Row& r = right[*rit];
-        joined.insert(joined.end(), r.begin(), r.end());
+        Row joined;
+        JoinInto(left[lorder[i]], right[*rit], &joined);
         if (residual != nullptr && !residual->Test(joined)) continue;
         out->push_back(std::move(joined));
       }
@@ -423,23 +494,139 @@ Rows MergeJoinKernel(const Rows& left, const Rows& right,
   return out;
 }
 
+// Distinct values under Value::Compare equality, hashed with Value::Hash —
+// the equality GROUP BY keys use (COUNT(DISTINCT x)).
+class ValueSet {
+ public:
+  void Insert(const Value& v) {
+    if (index_.FindOrAdd(v.Hash(), [&](uint32_t id) {
+                return values_[id].Compare(v) == 0;
+              }).second) {
+      values_.push_back(v);
+    }
+  }
+  size_t size() const { return values_.size(); }
+  const std::vector<Value>& values() const { return values_; }
+
+ private:
+  KeyIndex index_;
+  std::vector<Value> values_;
+};
+
 struct AggState {
   double sum = 0.0;
   int64_t count = 0;
   bool has = false;
   Value min, max;
-  std::set<std::string> distinct;
+  ValueSet distinct;
 };
 
-void FinishAggregate(
-    const std::vector<Row>& group_order,
-    std::unordered_map<Row, std::vector<AggState>, RowKeyHash, RowKeyEq>&
-        groups,
-    const std::vector<AggSpec>& aggs, Rows* out) {
-  out->reserve(group_order.size());
-  for (const Row& key : group_order) {
-    const std::vector<AggState>& st = groups[key];
-    Row r = key;
+// Per-morsel aggregation partial. Floating-point addition is not
+// associative, so kSum/kAvg partials keep the evaluated addends in row
+// order instead of a partial sum; the coordinator folds them group by
+// group in morsel order, which is exactly the serial per-group addition
+// sequence — that is what makes the parallel aggregate byte-identical,
+// not merely numerically close.
+struct AggPartial {
+  int64_t count = 0;
+  bool has = false;
+  Value min, max;
+  ValueSet distinct;
+  std::vector<double> addends;
+};
+
+// The groups of one aggregation, in first-seen order: a group's key row is
+// built once, when the group is first seen, and every later row finds its
+// group by hashing and comparing its key columns in place.
+template <typename State>
+class GroupTable {
+ public:
+  GroupTable(const std::vector<int>& cols, size_t naggs)
+      : cols_(cols), naggs_(naggs), key_cols_(cols.size()) {
+    std::iota(key_cols_.begin(), key_cols_.end(), 0);
+  }
+
+  // The aggs.size() states of the group of `row`'s key columns `cols`
+  // (the table's group columns, or key_cols() for a row that is a key).
+  State* Group(const Row& row, const std::vector<int>& cols) {
+    auto [g, added] =
+        index_.FindOrAdd(HashRowKey(row, cols), [&](uint32_t id) {
+          return CompareKeyCols(row, cols, keys_[id], key_cols_) == 0;
+        });
+    if (added) {
+      keys_.push_back(KeyOf(row, cols));
+      states_.resize(states_.size() + naggs_);
+    }
+    return &states_[g * naggs_];
+  }
+  State* Group(const Row& row) { return Group(row, cols_); }
+
+  // A global aggregate (no group columns) has exactly one group, even over
+  // empty input (SQL semantics).
+  void EnsureGlobalGroup() {
+    if (cols_.empty() && keys_.empty()) Group(Row{});
+  }
+
+  const std::vector<int>& key_cols() const { return key_cols_; }
+  Rows& keys() { return keys_; }
+  const State* states(size_t g) const { return &states_[g * naggs_]; }
+
+ private:
+  const std::vector<int>& cols_;
+  size_t naggs_;
+  std::vector<int> key_cols_;  // 0..k-1: the columns of a key row
+  KeyIndex index_;
+  Rows keys_;
+  std::vector<State> states_;  // naggs_ per group
+};
+
+// Folds one input row into its group (serial aggregation).
+void Accumulate(const Row& row, const std::vector<AggSpec>& aggs,
+                AggState* st) {
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    const AggSpec& a = aggs[i];
+    if (a.kind == AggKind::kCount && a.expr == nullptr) {
+      ++st[i].count;
+      continue;
+    }
+    Value v = a.expr->Eval(row);
+    if (v.is_null()) continue;  // SQL aggregates skip NULLs
+    AggState& s = st[i];
+    switch (a.kind) {
+      case AggKind::kSum:
+      case AggKind::kAvg:
+        s.sum += v.AsDouble();
+        ++s.count;
+        break;
+      case AggKind::kCount:
+        ++s.count;
+        break;
+      case AggKind::kMin:
+        if (!s.has || v.Compare(s.min) < 0) s.min = std::move(v);
+        s.has = true;
+        break;
+      case AggKind::kMax:
+        if (!s.has || v.Compare(s.max) > 0) s.max = std::move(v);
+        s.has = true;
+        break;
+      case AggKind::kCountDistinct:
+        s.distinct.Insert(v);
+        break;
+    }
+  }
+}
+
+// Aggregate output straight from the first-seen group list: each group's
+// key row, followed by one column per aggregate.
+void FinishAggregate(GroupTable<AggState>* groups,
+                     const std::vector<AggSpec>& aggs, Rows* out) {
+  groups->EnsureGlobalGroup();
+  Rows& keys = groups->keys();
+  out->reserve(keys.size());
+  for (size_t g = 0; g < keys.size(); ++g) {
+    const AggState* st = groups->states(g);
+    Row r = std::move(keys[g]);
+    r.reserve(r.size() + aggs.size());
     for (size_t i = 0; i < aggs.size(); ++i) {
       const AggState& s = st[i];
       switch (aggs[i].kind) {
@@ -469,103 +656,24 @@ void FinishAggregate(
   }
 }
 
-Rows SerialAggregateKernel(const Rows& in, const std::vector<int>& group_cols,
-                           const std::vector<AggSpec>& aggs,
-                           QueryContext* ctx) {
-  std::unordered_map<Row, std::vector<AggState>, RowKeyHash, RowKeyEq> groups;
-  std::vector<Row> group_order;  // deterministic output order (first seen)
-  for (const Row& row : in) {
-    if (ctx != nullptr && !ctx->KeepGoing()) return {};
-    Row key = KeyOf(row, group_cols);
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      it = groups.emplace(key, std::vector<AggState>(aggs.size())).first;
-      group_order.push_back(key);
-    }
-    std::vector<AggState>& st = it->second;
-    for (size_t i = 0; i < aggs.size(); ++i) {
-      const AggSpec& a = aggs[i];
-      if (a.kind == AggKind::kCount && a.expr == nullptr) {
-        ++st[i].count;
-        continue;
-      }
-      Value v = a.expr->Eval(row);
-      if (v.is_null()) continue;  // SQL aggregates skip NULLs
-      AggState& s = st[i];
-      switch (a.kind) {
-        case AggKind::kSum:
-        case AggKind::kAvg:
-          s.sum += v.AsDouble();
-          ++s.count;
-          break;
-        case AggKind::kCount:
-          ++s.count;
-          break;
-        case AggKind::kMin:
-          if (!s.has || v.Compare(s.min) < 0) s.min = v;
-          s.has = true;
-          break;
-        case AggKind::kMax:
-          if (!s.has || v.Compare(s.max) > 0) s.max = v;
-          s.has = true;
-          break;
-        case AggKind::kCountDistinct:
-          s.distinct.insert(v.ToString());
-          break;
-      }
-    }
-  }
-  if (group_cols.empty() && groups.empty()) {
-    groups.emplace(Row{}, std::vector<AggState>(aggs.size()));
-    group_order.push_back(Row{});
-  }
-  Rows out;
-  FinishAggregate(group_order, groups, aggs, &out);
-  return out;
-}
-
-// Per-morsel aggregation partial. Floating-point addition is not
-// associative, so kSum/kAvg partials keep the evaluated addends in row
-// order instead of a partial sum; the coordinator folds them group by
-// group in morsel order, which is exactly the serial per-group addition
-// sequence — that is what makes the parallel aggregate byte-identical,
-// not merely numerically close.
-struct AggPartial {
-  int64_t count = 0;
-  bool has = false;
-  Value min, max;
-  std::set<std::string> distinct;
-  std::vector<double> addends;
-};
-
-struct MorselGroups {
-  std::unordered_map<Row, size_t, RowKeyHash, RowKeyEq> index;
-  std::vector<Row> keys;  // first-seen order within the morsel
-  std::vector<std::vector<AggPartial>> states;
-};
-
-Rows ParallelAggregateKernel(const Rows& in,
-                             const std::vector<int>& group_cols,
-                             const std::vector<AggSpec>& aggs,
-                             QueryContext* ctx, const ParallelScanPlan& plan,
-                             bool* interrupted) {
-  std::vector<MorselGroups> partials(PlanMorselCount(plan, in.size()));
+// Morsel-parallel partial aggregation of `in` into `groups`. Returns false
+// when `ctx` trips.
+bool ParallelAggregate(const Rows& in, const std::vector<int>& group_cols,
+                       const std::vector<AggSpec>& aggs, QueryContext* ctx,
+                       const ParallelScanPlan& plan,
+                       GroupTable<AggState>* groups) {
+  std::vector<GroupTable<AggPartial>> partials(
+      PlanMorselCount(plan, in.size()),
+      GroupTable<AggPartial>(group_cols, aggs.size()));
   if (!ParallelMorselRun(
           plan, in.size(), ctx,
           [&](uint64_t m, uint64_t begin, uint64_t end,
               const std::atomic<bool>& stop) {
-            MorselGroups& mg = partials[m];
+            GroupTable<AggPartial>& mg = partials[m];
             for (uint64_t r = begin; r < end; ++r) {
               if (MorselInterrupted(stop, ctx)) return;
               const Row& row = in[r];
-              Row key = KeyOf(row, group_cols);
-              auto it = mg.index.find(key);
-              if (it == mg.index.end()) {
-                it = mg.index.emplace(key, mg.keys.size()).first;
-                mg.keys.push_back(key);
-                mg.states.emplace_back(aggs.size());
-              }
-              std::vector<AggPartial>& st = mg.states[it->second];
+              AggPartial* st = mg.Group(row);
               for (size_t i = 0; i < aggs.size(); ++i) {
                 const AggSpec& a = aggs[i];
                 if (a.kind == AggKind::kCount && a.expr == nullptr) {
@@ -584,39 +692,30 @@ Rows ParallelAggregateKernel(const Rows& in,
                     ++s.count;
                     break;
                   case AggKind::kMin:
-                    if (!s.has || v.Compare(s.min) < 0) s.min = v;
+                    if (!s.has || v.Compare(s.min) < 0) s.min = std::move(v);
                     s.has = true;
                     break;
                   case AggKind::kMax:
-                    if (!s.has || v.Compare(s.max) > 0) s.max = v;
+                    if (!s.has || v.Compare(s.max) > 0) s.max = std::move(v);
                     s.has = true;
                     break;
                   case AggKind::kCountDistinct:
-                    s.distinct.insert(v.ToString());
+                    s.distinct.Insert(v);
                     break;
                 }
               }
             }
           })) {
-    *interrupted = true;
-    return {};
+    return false;
   }
 
   // Final merge on the coordinator, in morsel order: group discovery order
   // equals the serial first-seen order, and each group's addends fold in
   // the serial row order.
-  std::unordered_map<Row, std::vector<AggState>, RowKeyHash, RowKeyEq> groups;
-  std::vector<Row> group_order;
-  for (const MorselGroups& mg : partials) {
-    for (size_t g = 0; g < mg.keys.size(); ++g) {
-      const Row& key = mg.keys[g];
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        it = groups.emplace(key, std::vector<AggState>(aggs.size())).first;
-        group_order.push_back(key);
-      }
-      std::vector<AggState>& st = it->second;
-      const std::vector<AggPartial>& ps = mg.states[g];
+  for (GroupTable<AggPartial>& mg : partials) {
+    for (size_t g = 0; g < mg.keys().size(); ++g) {
+      AggState* st = groups->Group(mg.keys()[g], mg.key_cols());
+      const AggPartial* ps = mg.states(g);
       for (size_t i = 0; i < aggs.size(); ++i) {
         const AggPartial& p = ps[i];
         AggState& s = st[i];
@@ -640,19 +739,13 @@ Rows ParallelAggregateKernel(const Rows& in,
             s.has |= p.has;
             break;
           case AggKind::kCountDistinct:
-            s.distinct.insert(p.distinct.begin(), p.distinct.end());
+            for (const Value& v : p.distinct.values()) s.distinct.Insert(v);
             break;
         }
       }
     }
   }
-  if (group_cols.empty() && groups.empty()) {
-    groups.emplace(Row{}, std::vector<AggState>(aggs.size()));
-    group_order.push_back(Row{});
-  }
-  Rows out;
-  FinishAggregate(group_order, groups, aggs, &out);
-  return out;
+  return true;
 }
 
 Rows SortKernel(Rows in, const std::vector<SortSpec>& keys,
@@ -681,17 +774,26 @@ Rows SortKernel(Rows in, const std::vector<SortSpec>& keys,
   return in;
 }
 
-Rows DistinctKernel(const Rows& in, QueryContext* ctx) {
-  Rows out;
-  std::unordered_map<Row, bool, RowKeyHash, RowKeyEq> seen;
-  for (const Row& r : in) {
-    if (ctx != nullptr && !ctx->KeepGoing()) return out;
-    if (seen.emplace(r, true).second) out.push_back(r);
-  }
-  return out;
-}
-
 // ---- Tree walker --------------------------------------------------------
+
+// Receives the rows a node produces, one at a time. The row is only valid
+// during the call: a consumer that keeps it copies it.
+using RowSink = std::function<void(const Row&)>;
+
+// Whether `n` passes rows on as it makes them (Executor::ForEachRow); every
+// other node is a pipeline breaker.
+bool Streams(const PlanNode& n) {
+  switch (n.kind) {
+    case PlanNode::Kind::kScan:
+    case PlanNode::Kind::kValues:
+    case PlanNode::Kind::kFilter:
+    case PlanNode::Kind::kProject:
+    case PlanNode::Kind::kHashJoin:
+      return true;
+    default:
+      return false;
+  }
+}
 
 struct Executor {
   TemporalEngine& engine;
@@ -702,16 +804,35 @@ struct Executor {
     return ctx != nullptr ? ctx->CheckNow() : Status::OK();
   }
 
-  Status Run(const PlanNode& n, Rows* out) {
+  // Streams the output of `n` into `fn` as it is produced. Scan, Values,
+  // Filter, Project and the probe side of a hash join pass rows straight
+  // through (a Scan through the engine's row callback, Values in place);
+  // any other node is a pipeline breaker and is materialized by Run first.
+  // Every streamed node keeps the counters a materializing run would give
+  // it: rows_output is the number of rows it passed on.
+  Status ForEachRow(const PlanNode& n, const RowSink& fn) {
+    if (!Streams(n)) {
+      Rows rows;
+      BIH_RETURN_IF_ERROR(Run(n, &rows));
+      for (const Row& row : rows) {
+        if (ctx != nullptr && !ctx->KeepGoing()) break;
+        fn(row);
+      }
+      return Boundary();
+    }
     n.stats = PlanStats{};
-    out->clear();
+    uint64_t emitted = 0;
+    auto emit = [&](const Row& row) {
+      ++emitted;
+      fn(row);
+    };
     switch (n.kind) {
       case PlanNode::Kind::kScan: {
         ScanRequest req = n.scan;
         if (req.ctx == nullptr) req.ctx = ctx;
         req.exec = MergeExecOptions(req.exec, opts);
         engine.Scan(req, [&](const Row& row) {
-          out->push_back(row);
+          emit(row);
           return true;
         });
         // A request that redirected its counters keeps them; otherwise the
@@ -722,28 +843,62 @@ struct Executor {
         break;
       }
       case PlanNode::Kind::kValues:
-        *out = n.values;
+        for (const Row& row : n.values) {
+          if (ctx != nullptr && !ctx->KeepGoing()) break;
+          emit(row);
+        }
         break;
-      case PlanNode::Kind::kFilter: {
-        Rows in;
-        BIH_RETURN_IF_ERROR(Run(*n.children[0], &in));
-        *out = FilterKernel(in, n.predicate, ctx);
+      case PlanNode::Kind::kFilter:
+        BIH_RETURN_IF_ERROR(ForEachRow(*n.children[0], [&](const Row& row) {
+          if (n.predicate->Test(row)) emit(row);
+        }));
         break;
-      }
       case PlanNode::Kind::kProject: {
-        Rows in;
-        BIH_RETURN_IF_ERROR(Run(*n.children[0], &in));
-        *out = ProjectKernel(in, n.exprs, ctx);
+        Row projected;
+        BIH_RETURN_IF_ERROR(ForEachRow(*n.children[0], [&](const Row& row) {
+          projected.clear();
+          for (const ExprPtr& e : n.exprs) projected.push_back(e->Eval(row));
+          emit(projected);
+        }));
         break;
       }
       case PlanNode::Kind::kHashJoin: {
-        Rows left, right;
-        BIH_RETURN_IF_ERROR(Run(*n.children[0], &left));
+        // Build on the right input, then stream the left through the probe.
+        Rows right;
         BIH_RETURN_IF_ERROR(Run(*n.children[1], &right));
-        *out = HashJoinKernel(left, right, n.left_keys, n.right_keys,
-                              n.right_width, n.join_type, n.predicate, ctx);
+        JoinTable table;
+        if (!table.Build(right, n.right_keys, ctx)) return Boundary();
+        Row joined;
+        BIH_RETURN_IF_ERROR(ForEachRow(*n.children[0], [&](const Row& l) {
+          bool matched = false;
+          table.ForEachMatch(l, n.left_keys, [&](const Row& r) {
+            JoinInto(l, r, &joined);
+            if (n.predicate != nullptr && !n.predicate->Test(joined)) return;
+            matched = true;
+            emit(joined);
+          });
+          if (!matched && n.join_type == JoinType::kLeftOuter) {
+            joined.assign(l.begin(), l.end());
+            joined.resize(l.size() + n.right_width, Value::Null());
+            emit(joined);
+          }
+        }));
         break;
       }
+      default:
+        break;
+    }
+    n.stats.rows_output = emitted;
+    return Boundary();
+  }
+
+  Status Run(const PlanNode& n, Rows* out) {
+    out->clear();
+    if (Streams(n)) {
+      return ForEachRow(n, [out](const Row& row) { out->push_back(row); });
+    }
+    n.stats = PlanStats{};
+    switch (n.kind) {
       case PlanNode::Kind::kMergeJoin: {
         Rows left, right;
         BIH_RETURN_IF_ERROR(Run(*n.children[0], &left));
@@ -777,8 +932,8 @@ struct Executor {
           }
           if (null_key) continue;
           engine.Scan(req, [&](const Row& r) {
-            Row joined = l;
-            joined.insert(joined.end(), r.begin(), r.end());
+            Row joined;
+            JoinInto(l, r, &joined);
             if (n.predicate == nullptr || n.predicate->Test(joined)) {
               out->push_back(std::move(joined));
             }
@@ -795,8 +950,8 @@ struct Executor {
         for (const Row& l : left) {
           if (ctx != nullptr && !ctx->KeepGoing()) break;
           for (const Row& r : right) {
-            Row joined = l;
-            joined.insert(joined.end(), r.begin(), r.end());
+            Row joined;
+            JoinInto(l, r, &joined);
             if (n.predicate != nullptr && !n.predicate->Test(joined)) {
               continue;
             }
@@ -806,17 +961,31 @@ struct Executor {
         break;
       }
       case PlanNode::Kind::kAggregate: {
-        Rows in;
-        BIH_RETURN_IF_ERROR(Run(*n.children[0], &in));
         const ParallelScanPlan plan =
             ResolveScanPlan(MergeExecOptions(n.scan.exec, opts));
-        if (plan.Engage(in.size())) {
-          bool interrupted = false;
-          *out = ParallelAggregateKernel(in, n.group_cols, n.aggs, ctx, plan,
-                                         &interrupted);
+        GroupTable<AggState> groups(n.group_cols, n.aggs.size());
+        if (plan.Parallel()) {
+          // The fan-out decision needs the input's size: materialize it.
+          Rows in;
+          BIH_RETURN_IF_ERROR(Run(*n.children[0], &in));
+          if (plan.Engage(in.size())) {
+            if (!ParallelAggregate(in, n.group_cols, n.aggs, ctx, plan,
+                                   &groups)) {
+              break;
+            }
+          } else {
+            for (const Row& row : in) {
+              if (ctx != nullptr && !ctx->KeepGoing()) break;
+              Accumulate(row, n.aggs, groups.Group(row));
+            }
+          }
         } else {
-          *out = SerialAggregateKernel(in, n.group_cols, n.aggs, ctx);
+          BIH_RETURN_IF_ERROR(ForEachRow(*n.children[0], [&](const Row& row) {
+            Accumulate(row, n.aggs, groups.Group(row));
+          }));
         }
+        if (ctx != nullptr && !ctx->status().ok()) break;
+        FinishAggregate(&groups, n.aggs, out);
         break;
       }
       case PlanNode::Kind::kSort: {
@@ -825,19 +994,23 @@ struct Executor {
         *out = SortKernel(std::move(in), n.sort_keys, ctx);
         break;
       }
-      case PlanNode::Kind::kLimit: {
-        Rows in;
-        BIH_RETURN_IF_ERROR(Run(*n.children[0], &in));
-        *out = std::move(in);
+      case PlanNode::Kind::kLimit:
+        BIH_RETURN_IF_ERROR(Run(*n.children[0], out));
         if (out->size() > n.limit) out->resize(n.limit);
         break;
-      }
       case PlanNode::Kind::kDistinct: {
-        Rows in;
-        BIH_RETURN_IF_ERROR(Run(*n.children[0], &in));
-        *out = DistinctKernel(in, ctx);
+        KeyIndex seen;  // ids index *out: first occurrences, in order
+        BIH_RETURN_IF_ERROR(ForEachRow(*n.children[0], [&](const Row& row) {
+          if (seen.FindOrAdd(HashRow(row), [&](uint32_t id) {
+                    return SameRow((*out)[id], row);
+                  }).second) {
+            out->push_back(row);
+          }
+        }));
         break;
       }
+      default:
+        break;
     }
     n.stats.rows_output = out->size();
     return Boundary();

@@ -19,7 +19,14 @@ namespace bih {
 // of calling operator kernels directly (the kernels are internal to
 // src/exec — bih_lint enforces the boundary).
 //
-// Operators materialize fully between nodes. Sort-merge join and hash
+// Rows stream from producer to consumer where the plan shape allows it:
+// Scan (through the engine's row callback), Values (read in place), Filter,
+// Project and the probe (left) side of a hash join pass each row on as it
+// is made, and Filter, Project, aggregation, distinct and the hash-join
+// probe consume that way. Pipeline breakers — the hash-join build side,
+// sort, limit, merge/index/cross joins and the morsel-parallel aggregate —
+// materialize their input. Consumer work on a streamed scan therefore runs
+// inside the engine's Scan call. Sort-merge join and hash
 // aggregation fan out over the ScanScheduler morsel pool when the resolved
 // ExecOptions ask for more than one thread; their output (rows and
 // per-node counters alike) is byte-identical to serial execution at any
@@ -48,7 +55,8 @@ struct SortSpec {
 };
 
 // Per-node execution counters, reset and refilled by every Execute run.
-// For kScan and kIndexJoin nodes, `scan` carries the engine-side counters
+// rows_output counts the rows a node produced, whether it streamed them to
+// its consumer or materialized them. For kScan and kIndexJoin nodes, `scan` carries the engine-side counters
 // (rows examined, partitions touched, index choice) of the node's last
 // engine access; these match the serial scan exactly at any thread count.
 struct PlanStats {

@@ -8,10 +8,10 @@
 
 namespace bih {
 
-// A fully materialized result set. The benchmark runs single queries over
-// moderate row counts, so full materialization between plan nodes keeps the
-// executor honest and easy to verify; the storage engines carry the
-// architecture-specific costs the paper measures.
+// A materialized result set: a query's output, and the input of the plan
+// nodes that need all of it at once (sort, the hash-join build side, merge
+// join, the parallel aggregate). Scans, filters, projections and hash-join
+// probes stream rows between nodes instead (see plan.h).
 using Rows = std::vector<Row>;
 
 // Pretty-prints rows for the examples and the driver (column names

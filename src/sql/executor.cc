@@ -293,9 +293,6 @@ Status PlanSelect(TemporalEngine& engine, const SelectStatement& stmt,
       }
       plan = SortPlan(std::move(plan), std::move(keys));
     }
-    if (stmt.limit >= 0) {
-      plan = LimitPlan(std::move(plan), static_cast<size_t>(stmt.limit));
-    }
     columns->clear();
     if (stmt.select_star) {
       for (const ScopeColumn& c : scope) columns->push_back(c.name);
@@ -309,9 +306,12 @@ Status PlanSelect(TemporalEngine& engine, const SelectStatement& stmt,
       }
       plan = ProjectPlan(std::move(plan), std::move(exprs));
     }
-    // DISTINCT applies to the final projected rows, after LIMIT — matching
-    // the operator order this executor has always used.
+    // Sort -> Project -> Distinct -> Limit: DISTINCT compares the projected
+    // rows and LIMIT counts distinct ones.
     if (stmt.distinct) plan = DistinctPlan(std::move(plan));
+    if (stmt.limit >= 0) {
+      plan = LimitPlan(std::move(plan), static_cast<size_t>(stmt.limit));
+    }
     *out_plan = std::move(plan);
     return Status::OK();
   }
@@ -462,9 +462,6 @@ Status PlanSelect(TemporalEngine& engine, const SelectStatement& stmt,
     }
     plan = SortPlan(std::move(plan), std::move(keys));
   }
-  if (stmt.limit >= 0) {
-    plan = LimitPlan(std::move(plan), static_cast<size_t>(stmt.limit));
-  }
 
   std::vector<ExprPtr> projections;
   columns->clear();
@@ -476,6 +473,9 @@ Status PlanSelect(TemporalEngine& engine, const SelectStatement& stmt,
   }
   plan = ProjectPlan(std::move(plan), std::move(projections));
   if (stmt.distinct) plan = DistinctPlan(std::move(plan));
+  if (stmt.limit >= 0) {
+    plan = LimitPlan(std::move(plan), static_cast<size_t>(stmt.limit));
+  }
   *out_plan = std::move(plan);
   return Status::OK();
 }
